@@ -13,7 +13,10 @@ from repro.harness.optimization import (
     memcached_binary_frame, memcached_request_inputs,
     run_opt_comparison,
 )
-from repro.kiwi import compile_function, differential_check
+from repro.engine.verify import (
+    InterpretedLeg, cold_chunks, differential, random_jobs,
+)
+from repro.kiwi import compile_function
 from repro.net.packet import ip_to_int
 from repro.services.memcached import memcached_kernel
 
@@ -50,8 +53,11 @@ def main():
     print("\n=== differential co-simulation (-O2 vs -O0) ===")
     # Crafted binary requests so the deep GET/SET paths are what gets
     # compared (random noise would only exercise the header rejects).
-    report = differential_check(memcached_kernel, opt_level=2, runs=12,
-                                input_factory=memcached_request_inputs)
+    base = designs[0]
+    report = differential(
+        InterpretedLeg(base), [InterpretedLeg(designs[2])],
+        cold_chunks(random_jobs(base.spec, "kiwi-opt", 12,
+                                memcached_request_inputs)))
     print(report)
     assert report.ok, "optimizer broke the kernel!"
     assert report.cycle_reduction > 0.1

@@ -59,14 +59,19 @@ def split_udp_frame(payload):
 def memcached_is_write(frame):
     """Classify a memcached-over-UDP :class:`~repro.net.packet.Frame`
     as a store mutation (SET or DELETE) — the per-service classifier
-    the multi-core and cluster replication schemes key off."""
+    the multi-core and cluster replication schemes key off.
+
+    Frames too short to carry a request are not writes; only
+    :class:`~repro.errors.ParseError` is caught, so a classifier bug
+    raises instead of silently skipping replication."""
     try:
         udp = UDPWrapper(frame.data)
         _, body = split_udp_frame(udp.payload())
-    except Exception:
+    except ParseError:
         return False
     if body[:1] == b"\x80":
-        return body[1] in (BinaryOpcodes.SET, BinaryOpcodes.DELETE)
+        return len(body) > 1 and \
+            body[1] in (BinaryOpcodes.SET, BinaryOpcodes.DELETE)
     return body[:4] == b"set " or body[:7] == b"delete "
 
 

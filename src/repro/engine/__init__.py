@@ -12,16 +12,16 @@ allows):
   :mod:`repro.engine.batch` raises that to lockstep structure-of-arrays
   execution: N requests advance through fused superblocks per dispatch
   (``compile_kernel(fn, batch=N)``), with per-lane early exits and
-  loop-invariant hoisting.  :mod:`repro.engine.pipelined` overlaps
+  compile-time constant folding.  :mod:`repro.engine.pipelined` overlaps
   requests *within* one kernel the way the -O3 hardware schedule does
   — a new request issues every II cycles, hazard stalls only on real
   memory dependences, strict in-order retire.
-  :mod:`repro.engine.verify` proves the compiled kernel equivalent to
-  the interpreted :class:`~repro.rtl.simulator.Simulator` on random
-  inputs (results, final memories, and same-level cycle counts), the
-  batched engine equivalent to both on warm job streams, and the
-  pipelined executor equivalent to the sequential -O0 engine with N
-  requests in flight.
+  :mod:`repro.engine.verify` is the one differential harness: one
+  loop co-runs a job stream through a reference leg and candidate
+  legs (interpreted netlist, scalar engine, batched engine, pipelined
+  executor) and compares results, cycles, reply bytes and memory
+  images.  The interpreted :class:`~repro.rtl.simulator.Simulator`
+  runs only there, as the oracle.
 * :mod:`repro.engine.sched` is the one discrete-event scheduler every
   layer now shares (the netsim event loop subclasses it), with
   processes and bounded back-pressure queues;
@@ -38,20 +38,12 @@ from repro.engine.openloop import (
 )
 from repro.engine.pipelined import PipelinedKernel, compile_pipelined
 from repro.engine.sched import Delay, Process, Queue, Scheduler
-from repro.engine.verify import (
-    BatchReport, EngineReport, PipelineReport, assert_batch_equivalent,
-    assert_engine_equivalent, assert_pipeline_equivalent,
-    batch_differential_check, engine_differential_check,
-    pipeline_differential_check,
-)
+from repro.engine.verify import Mismatch, Report, differential
 
 __all__ = [
-    "ArrivalSpec", "BatchReport", "BatchedKernel", "CompiledKernel",
-    "Delay", "EngineReport", "OpenLoopReport", "PipelineReport",
-    "PipelinedKernel", "Process", "Queue", "Scheduler",
-    "assert_batch_equivalent", "assert_engine_equivalent",
-    "assert_pipeline_equivalent", "batch_differential_check",
-    "compile_design", "compile_design_batched", "compile_kernel",
-    "compile_pipelined", "engine_differential_check",
-    "pipeline_differential_check", "run_open_loop",
+    "ArrivalSpec", "BatchedKernel", "CompiledKernel", "Delay",
+    "Mismatch", "OpenLoopReport", "PipelinedKernel", "Process", "Queue",
+    "Report", "Scheduler", "compile_design", "compile_design_batched",
+    "compile_kernel", "compile_pipelined", "differential",
+    "run_open_loop",
 ]

@@ -18,11 +18,8 @@ FSM a second way, for *N requests at once*:
 * **Early-exit masking** — lanes idle at different cycles; a finished
   lane simply leaves the active-lane lists, so ragged batches cost
   only the work their live lanes do.
-* **Loop-invariant hoisting** — expression temps that depend only on
-  constants, uniform latched scalars, or shared read-only memories
-  are computed once per dispatch, outside the lane loop (and
-  const-only subtrees fold at compile time, which is most of the
-  ``-O0`` expression text).
+* **Constant folding** — const-only subtrees fold at compile time,
+  which is most of the ``-O0`` expression text.
 
 Lockstep reorders execution across requests, so it is only attempted
 when two static analyses prove the reorder unobservable:
@@ -339,7 +336,7 @@ def _lockstep_safe(fsm, latched, result_names, never_written):
 
 # -- batch expression emitter ------------------------------------------------
 
-_ATOM_PREFIXES = ("_t", "_h", "u_", "v_")
+_ATOM_PREFIXES = ("_t", "v_")
 
 
 def _is_atom(text):
@@ -355,24 +352,18 @@ class _BatchEmitter:
     Differences: constant subtrees fold at compile time (via the same
     ``eval_binop``/``eval_unop`` the simulator uses, so folds are
     semantics-preserving by construction); single-use subtrees inline
-    (so untaken ``Mux`` arms are never evaluated); subtrees invariant
-    across lanes hoist into the block preamble, outside the lane loop;
-    memory reads route to per-lane rows (``pl_<name>``) or shared
-    lists (``m_<name>``) per the batch layout.
+    (so untaken ``Mux`` arms are never evaluated); memory reads route
+    to per-lane rows (``pl_<name>``) or shared lists (``m_<name>``)
+    per the batch layout.
     """
 
-    def __init__(self, layout, preamble, hoist_memo, counter,
-                 hoist_counter):
+    def __init__(self, layout, counter):
         self.layout = layout
-        self.preamble = preamble
         self.body = []
         self.memo = {}              # per state: id -> text
         self.consts = {}            # id -> folded int (subset of memo)
-        self.uniform = {}           # id -> bool (lane-invariant)
-        self.hoist_memo = hoist_memo    # per block: uniform temps
         self.refs = {}
         self.counter = counter
-        self.hoist_counter = hoist_counter
 
     # -- bookkeeping ---------------------------------------------------
 
@@ -394,11 +385,6 @@ class _BatchEmitter:
         self.body.append("%s = %s" % (name, text))
         return name
 
-    def hoist(self, text):
-        name = "_h%d" % next(self.hoist_counter)
-        self.preamble.append("%s = %s" % (name, text))
-        return name
-
     def root(self, expr):
         """Emit *expr* as a phase-1 value: folded constants and temps
         pass through, anything else is pinned into a temp so phase-2
@@ -412,20 +398,12 @@ class _BatchEmitter:
 
     def emit(self, expr, depth=0):
         key = id(expr)
-        cached = self.hoist_memo.get(key)
-        if cached is not None:
-            return cached
         cached = self.memo.get(key)
         if cached is not None:
             return cached
         text = self._compile(expr, depth)
-        key_const = key in self.consts
-        if not key_const and not isinstance(expr, (Const, VarRef)):
-            if self.uniform.get(key):
-                # Lane-invariant compound: compute once per dispatch.
-                text = self.hoist(text)
-                self.hoist_memo[key] = text
-                return text
+        if key not in self.consts and \
+                not isinstance(expr, (Const, VarRef)):
             if self.refs.get(key, 2) > 1 or depth >= MAX_INLINE_DEPTH:
                 text = self.temp(text)
             else:
@@ -435,7 +413,6 @@ class _BatchEmitter:
 
     def _fold(self, expr, value):
         self.consts[id(expr)] = value
-        self.uniform[id(expr)] = True
         return repr(value)
 
     def _const_of(self, expr, text):
@@ -447,23 +424,14 @@ class _BatchEmitter:
             return int(text)
         return None
 
-    def _is_uniform(self, expr):
-        return bool(self.uniform.get(id(expr))) \
-            or isinstance(expr, Const) \
-            or id(expr) in self.consts
-
     def _compile(self, expr, depth):
         layout = self.layout
         if isinstance(expr, Const):
-            self.uniform[id(expr)] = True
             return repr(expr.value)
         if isinstance(expr, VarRef):
             name = expr.name
             if name in layout.const_regs:
                 return self._fold(expr, layout.const_regs[name])
-            if name in layout.uniform_set:
-                self.uniform[id(expr)] = True
-                return "u_" + name
             return "v_" + name
         if isinstance(expr, MemReadRef):
             return self._compile_memread(expr, depth)
@@ -475,7 +443,6 @@ class _BatchEmitter:
             if value is not None:
                 return self._fold(expr, eval_unop(
                     expr.op, value, expr.operand.width, expr.width))
-            self.uniform[id(expr)] = self._is_uniform(expr.operand)
             return self._compile_unop_text(expr, operand)
         if isinstance(expr, Mux):
             sel = self.emit(expr.sel, depth + 1)
@@ -483,16 +450,11 @@ class _BatchEmitter:
             if sel_value is not None:
                 arm = expr.if_true if sel_value else expr.if_false
                 text = self.emit(arm, depth)
-                self.uniform[id(expr)] = self._is_uniform(arm)
                 if self._const_of(arm, text) is not None:
                     self.consts[id(expr)] = self._const_of(arm, text)
                 return text
             if_true = self.emit(expr.if_true, depth + 1)
             if_false = self.emit(expr.if_false, depth + 1)
-            self.uniform[id(expr)] = (
-                self._is_uniform(expr.sel)
-                and self._is_uniform(expr.if_true)
-                and self._is_uniform(expr.if_false))
             return "%s if %s else %s" % (if_true, sel, if_false)
         if isinstance(expr, Slice):
             operand = self.emit(expr.operand, depth + 1)
@@ -500,7 +462,6 @@ class _BatchEmitter:
             if value is not None:
                 return self._fold(
                     expr, (value >> expr.lsb) & _mask(expr.width))
-            self.uniform[id(expr)] = self._is_uniform(expr.operand)
             if expr.lsb == 0:
                 return "%s & %d" % (operand, _mask(expr.width))
             return "(%s >> %d) & %d" % (operand, expr.lsb,
@@ -514,8 +475,6 @@ class _BatchEmitter:
                 for part, value in zip(expr.parts[1:], values[1:]):
                     acc = (acc << part.width) | value
                 return self._fold(expr, acc)
-            self.uniform[id(expr)] = all(
-                self._is_uniform(p) for p in expr.parts)
             acc = texts[0]
             for part, text in zip(expr.parts[1:], texts[1:]):
                 acc = "((%s << %d) | %s)" % (acc, part.width, text)
@@ -536,17 +495,7 @@ class _BatchEmitter:
         if addr_value is not None:
             if addr_value >= depth_words:
                 return self._fold(expr, 0)
-            # Shared memories the FSM never writes cannot change
-            # mid-batch, so a constant-address read of one is
-            # dispatch-invariant and hoists out of the lane loop.
-            self.uniform[id(expr)] = (
-                expr.mem_name not in layout.perlane
-                and expr.mem_name not in layout.hazard_mems)
             return "%s[%d]" % (base, addr_value)
-        self.uniform[id(expr)] = (
-            expr.mem_name not in layout.perlane
-            and expr.mem_name not in layout.hazard_mems
-            and self._is_uniform(expr.addr))
         if (1 << expr.addr.width) <= depth_words:
             return "%s[%s]" % (base, addr)
         if not _is_atom(addr):
@@ -563,8 +512,6 @@ class _BatchEmitter:
         if lv is not None and rv is not None:
             return self._fold(expr,
                               eval_binop(expr.op, lv, rv, expr.width))
-        self.uniform[id(expr)] = (self._is_uniform(expr.lhs)
-                                  and self._is_uniform(expr.rhs))
         op = expr.op
         mask = _mask(expr.width)
         if op in ("+", "-", "*", "<<"):
@@ -686,26 +633,22 @@ def _chain(fsm, leader, trace):
 
 class _Layout:
     """One batched compilation of the FSM for a fixed classification:
-    which memories are per-lane (fully loaded by every lane) and which
-    latched scalars are uniform across lanes.  Layouts are cached per
+    which memories are per-lane (fully loaded by every lane), and
+    whether per-state profiling counts are on.  Layouts are cached per
     :class:`BatchedKernel`; in practice each call site settles on one.
     """
 
-    def __init__(self, scalar, perlane, uniform_set, profiled=False):
+    def __init__(self, scalar, perlane, profiled=False):
         design = scalar.design
         fsm = design.fsm
-        self.profiled = profiled
         self.perlane = perlane
-        self.uniform_set = uniform_set
-        self.uniform_names = sorted(uniform_set)
         self.mem_depths = dict(scalar._mem_depths)
         self.const_regs = {
             name: init for name, init in zip(scalar._reg_names,
                                              scalar._reg_inits)
             if name in scalar._never_written}
         self.soa_regs = [name for name in scalar._reg_names
-                         if name not in self.const_regs
-                         and name not in uniform_set]
+                         if name not in self.const_regs]
         written_mems = set()
         touch = {}
         data_widths = {}
@@ -745,22 +688,19 @@ class _Layout:
         entry = fsm.idle.transition.if_true
         self.entry = entry.index
         self.blocks = {}
-        self.max_path = 0
         if entry is not fsm.idle:
-            self.max_path = self._longest_path(fsm, entry)
             # Trace fusion changes which states a lane executes per
             # dispatch, so it is only used when per-state profiling
             # counts are off, and only for acyclic FSMs (keeping the
             # pre-dispatch timeout check exact for cyclic ones).
-            trace = self.max_path is not None and not profiled
+            trace = not profiled and self._acyclic(fsm, entry)
             self._build_blocks(fsm, entry, hazard_states, reach,
                                trace)
         self._compile(scalar)
 
     @staticmethod
-    def _longest_path(fsm, entry):
-        """Most states any entry→idle path executes, or ``None`` when
-        the FSM has a cycle (then no static latency bound exists)."""
+    def _acyclic(fsm, entry):
+        """Is every entry→idle path cycle-free (Kahn's algorithm)?"""
         seen = {id(entry): entry}
         stack = [entry]
         while stack:
@@ -775,23 +715,16 @@ class _Layout:
                 if succ is not fsm.idle:
                     indeg[id(succ)] += 1
         ready = [s for s in seen.values() if indeg[id(s)] == 0]
-        dist = {key: 1 for key in seen}
         done = 0
         while ready:
             state = ready.pop()
             done += 1
-            reach_dist = dist[id(state)] + 1
             for succ in fsm.successors(state):
-                if succ is fsm.idle:
-                    continue
-                if reach_dist > dist[id(succ)]:
-                    dist[id(succ)] = reach_dist
-                indeg[id(succ)] -= 1
-                if indeg[id(succ)] == 0:
-                    ready.append(succ)
-        if done != len(seen):
-            return None                  # cyclic: no static bound
-        return max(dist.values())
+                if succ is not fsm.idle:
+                    indeg[id(succ)] -= 1
+                    if indeg[id(succ)] == 0:
+                        ready.append(succ)
+        return done == len(seen)
 
     def _build_blocks(self, fsm, entry, hazard_states, reach, trace):
         worklist = [entry]
@@ -869,10 +802,7 @@ class _Layout:
             mems_used |= touched_r | touched_w
         loads = sorted(reads)
         stores = sorted(writes)
-        preamble = []
-        hoist_memo = {}
         counter = itertools.count()
-        hoist_counter = itertools.count()
         body = []
         final_next = None
         if block.final_target is not None:
@@ -880,8 +810,7 @@ class _Layout:
         assigned = set()              # SoA regs committed so far
         last = len(block.states) - 1
         for i, state in enumerate(block.states):
-            emitter = _BatchEmitter(self, preamble, hoist_memo,
-                                    counter, hoist_counter)
+            emitter = _BatchEmitter(self, counter)
             emitter.count_refs(_state_roots(state))
             # Phase 1: every right-hand side into temps/inline text.
             commits = []
@@ -935,18 +864,10 @@ class _Layout:
                 binds.append("p_%s=p_%s" % (name, name))
             else:
                 binds.append("m_%s=m_%s" % (name, name))
-        lines = ["def _b%d(_lanes, _next, _cyc, _u%s):"
+        lines = ["def _b%d(_lanes, _next, _cyc%s):"
                  % (block.leader.index,
-                    "".join(", " + b for b in binds))]
-        if self.uniform_names:
-            targets = ", ".join("u_" + name
-                                for name in self.uniform_names)
-            if len(self.uniform_names) == 1:
-                targets += ","
-            lines.append("    %s = _u" % targets)
-        for line in preamble:
-            lines.append("    " + line)
-        lines.append("    for _ln in _lanes:")
+                    "".join(", " + b for b in binds)),
+                 "    for _ln in _lanes:"]
         for name in sorted(mems_used & self.perlane):
             lines.append("        pl_%s = p_%s[_ln]" % (name, name))
         for name in loads:
@@ -1010,7 +931,6 @@ class BatchedKernel:
                 written |= set(state.updates)
         scalar._never_written = frozenset(scalar._reg_names) - written \
             - frozenset(scalar._latch_names)
-        self._latch_only = frozenset(scalar._latch_names) - written
         result_names = ["__result%d" % index
                         for index in range(len(design.spec.results))]
         self.lockstep_capable = _lockstep_safe(
@@ -1081,12 +1001,11 @@ class BatchedKernel:
 
     # -- batched execution ---------------------------------------------
 
-    def _get_layout(self, perlane, uniform_set, profiled):
-        key = (perlane, uniform_set, profiled)
+    def _get_layout(self, perlane, profiled):
+        key = (perlane, profiled)
         layout = self._layouts.get(key)
         if layout is None:
-            layout = _Layout(self._scalar, perlane, uniform_set,
-                             profiled)
+            layout = _Layout(self._scalar, perlane, profiled)
             self._layouts[key] = layout
         return layout
 
@@ -1139,11 +1058,7 @@ class BatchedKernel:
                 inputs[name] = value & mask
             for name in scalar._latch_names:
                 lane_latch[name].append(inputs[name])
-        uniform_set = frozenset(
-            name for name in self._latch_only
-            if len(set(lane_latch[name])) == 1)
-        layout = self._get_layout(loaded, uniform_set,
-                                  scalar.state_counts is not None)
+        layout = self._get_layout(loaded, scalar.state_counts is not None)
         n = len(jobs)
         # -- SoA registers --------------------------------------------
         warm = dict(zip(scalar._reg_names, scalar._regs))
@@ -1175,18 +1090,14 @@ class BatchedKernel:
                         row = [value & width_mask for value in row]
                     rows.append(row)
             layout.rows[name][:] = rows
-        uniform_values = tuple(lane_latch[name][0]
-                               for name in layout.uniform_names)
-        self._drive(layout, n, uniform_values, max_cycles)
+        self._drive(layout, n, max_cycles)
         # -- harvest ---------------------------------------------------
         result_cols = []
         for name in self._result_names:
             if name in layout.reg_lists:
                 result_cols.append(layout.reg_lists[name])
-            elif name in layout.const_regs:
-                result_cols.append([layout.const_regs[name]] * n)
             else:
-                result_cols.append(lane_latch[name])
+                result_cols.append([layout.const_regs[name]] * n)
         latencies = self._latencies
         if len(result_cols) == 1:
             col = result_cols[0]
@@ -1201,10 +1112,8 @@ class BatchedKernel:
         for name in scalar._reg_names:
             if name in layout.reg_lists:
                 final.append(layout.reg_lists[name][last])
-            elif name in layout.const_regs:
+            else:
                 final.append(warm[name])
-            else:                        # uniform latched scalar
-                final.append(lane_latch[name][last])
         scalar._regs = tuple(final)
         scalar._inputs = inputs
         for name in layout.rows:
@@ -1213,7 +1122,7 @@ class BatchedKernel:
         self.lockstep_batches += 1
         return out
 
-    def _drive(self, layout, n, uniform_values, max_cycles):
+    def _drive(self, layout, n, max_cycles):
         """The lockstep dispatch loop with hazard gating.
 
         A hazard block normally runs for its *whole* sorted lane group
@@ -1237,21 +1146,15 @@ class BatchedKernel:
         lane_pos = [layout.entry] * n    # frontier leader per live lane
         clear = [False] * n
         min_unclear = 0
-        # An acyclic FSM cannot run longer than its longest path, so
-        # when that is below the budget no lane can ever time out and
-        # the per-lane checks are elided entirely.
-        checked = layout.max_path is None \
-            or max_cycles <= layout.max_path
 
         def run(block, lanes):
-            if checked:
-                limit = max_cycles - block.size
-                for lane in lanes:
-                    if cyc[lane] > limit:
-                        raise EngineError(
-                            "design %r did not finish in %d cycles"
-                            % (self.name, max_cycles))
-            block.fn(lanes, nxt, cyc, uniform_values)
+            limit = max_cycles - block.size
+            for lane in lanes:
+                if cyc[lane] > limit:
+                    raise EngineError(
+                        "design %r did not finish in %d cycles"
+                        % (self.name, max_cycles))
+            block.fn(lanes, nxt, cyc)
             if counts is not None:
                 for index in block.state_indices:
                     counts[index] += len(lanes)

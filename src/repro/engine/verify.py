@@ -1,320 +1,303 @@
-"""Differential equivalence: compiled engine vs interpreted simulator.
+"""One differential harness for every executor.
 
-The engine's contract is stronger than the optimizer's: at the *same*
-opt level it must reproduce the interpreter's results, final memory
-contents, **and cycle count** exactly — same FSM, same semantics, so
-any divergence is an engine miscompile.  Across levels (engine at
-``-O2`` vs interpreter at ``-O0``) the machines differ by design, so
-cycle counts are exempt and results + memories must still match —
-this composes the engine proof with the optimizer's own differential
-proof, closing the chain the ISSUE's acceptance criterion names.
+Emu's premise is one service program with identical behaviour on every
+target; this module is the proof by co-simulation.
+:func:`differential` runs one job stream through a *reference* leg and
+any number of *candidate* legs and compares, between every pair of
+legs:
 
-Inputs come from the same seeded generators the optimizer's verifier
-uses (uniform noise + protocol dictionary bytes), plus any crafted
-``input_factory`` a service provides for its deep request paths.
+* per-job results, and per-job reply bytes (the images of the
+  memories named in ``replies``, the per-request stream buffers);
+* per-job cycle counts whenever both legs run the same machine
+  sequentially (same opt level) — cross-level pairs and the pipelined
+  executor, whose latency includes overlap, are exempt;
+* every memory image after every chunk.
+
+A leg is a small adapter around one executor: :class:`InterpretedLeg`
+(the netlist :class:`~repro.rtl.simulator.Simulator`, the oracle),
+:class:`EngineLeg` (the scalar
+:class:`~repro.engine.compiler.CompiledKernel`), :class:`BatchedLeg`
+(``BatchedKernel.run_batch``) and :class:`PipelinedLeg`
+(``PipelinedKernel.run_stream``).  Legs stay warm between chunks; a
+chunk may reset them first.  After the stream each candidate records
+its executor's facts on the report (lockstep/fallback batches,
+initiation interval, peak in flight) and flags a ``lockstep`` or
+``overlap`` mismatch when its fast path never engaged.
+
+The job stream decides the shape of the proof:
+
+* :func:`cold_chunks` — one job per chunk, every leg reset first (the
+  optimizer proof ``-On`` vs ``-O0``, and the engine proof);
+* :func:`batch_chunks` — warm batch-width chunks with a ragged final
+  chunk; odd chunks load only some memories per job, which forces the
+  batched engine's sequential path and carries warm memories over;
+* :func:`split_chunks` — a warm seed, then per-request stream-memory
+  jobs split into two chunks at an offset that is not a multiple of
+  the pipeline depth, so the pipeline drains mid-stream and restarts.
+
+A reference timeout skips the chunk on every leg and resets them all;
+a candidate timeout is a ``timeout`` mismatch.
 """
 
 import random
 
 from repro.errors import CompileError, EngineError
-from repro.kiwi.opt.verify import random_inputs
+
+#: Cycle budget per job (per chunk for the pipelined executor), and
+#: what a leg raises when a job runs past it.
+MAX_CYCLES = 200000
+_TIMEOUTS = (CompileError, EngineError)
+
+# Byte values that protocol parsers compare against (EtherType 0x08/
+# 0x00, IP protocols 6/17, ports 53 and 11211 = 0x2B 0x67, the binary
+# memcached magic 0x80, bitmask edges).  Drawing words from this
+# dictionary makes shallow header checks pass far more often than
+# uniform noise would.  Deep multi-byte request paths still need
+# crafted inputs (an ``input_factory``).
+_DICTIONARY = (0x00, 0x01, 0x06, 0x08, 0x11, 0x35, 0x2B, 0x67, 0x80,
+               0xFF)
 
 
-class EngineMismatch:
-    """One diverging run: the inputs and both observations."""
-
-    def __init__(self, scalars, interpreted, engine, what):
-        self.scalars = scalars
-        self.interpreted = interpreted
-        self.engine = engine
-        self.what = what
-
-    def __repr__(self):
-        return ("EngineMismatch(%s: scalars=%r, interpreted=%r, "
-                "engine=%r)" % (self.what, self.scalars,
-                                self.interpreted, self.engine))
+def _random_word(rng, width):
+    if rng.random() < 0.5:
+        return rng.getrandbits(width)
+    value = 0
+    for _ in range((width + 7) // 8):
+        value = (value << 8) | rng.choice(_DICTIONARY)
+    return value & ((1 << width) - 1)
 
 
-class EngineReport:
-    """Outcome of one engine-differential session."""
-
-    def __init__(self, name, opt_level, base_level, compare_latency):
-        self.name = name
-        self.opt_level = opt_level
-        self.base_level = base_level
-        self.compare_latency = compare_latency
-        self.runs = 0
-        self.skipped = 0
-        self.mismatches = []
-        self.interpreter_cycles = 0
-        self.engine_cycles = 0
-
-    @property
-    def ok(self):
-        return not self.mismatches and self.runs > 0
-
-    def __repr__(self):
-        return ("EngineReport(%s: engine -O%d vs interpreter -O%d, "
-                "%d runs, %d mismatches)"
-                % (self.name, self.opt_level, self.base_level,
-                   self.runs, len(self.mismatches)))
+def random_inputs(spec, rng):
+    """Random scalars and memory images for one kernel invocation
+    (a mix of uniform noise and dictionary-byte patterns)."""
+    scalars = {name: _random_word(rng, param.width)
+               for name, param in spec.scalar_params}
+    memories = {name: [_random_word(rng, mem.width)
+                       for _ in range(mem.depth)]
+                for name, mem in spec.memory_params}
+    return scalars, memories
 
 
-def _interpret(design, scalars, memories, max_cycles):
-    results, cycles, sim = design.run(
-        max_cycles=max_cycles,
-        memories={name: list(image) for name, image in memories.items()},
-        **scalars)
-    images = {
-        name: [sim.peek_memory(name, addr) for addr in range(mem.depth)]
-        for name, mem in design.spec.memory_params}
-    return results, images, cycles
+def random_jobs(spec, seed, count, input_factory=None, deep_inputs=()):
+    """*count* ``(scalars, memories)`` jobs: seeded random inputs, then
+    the crafted *deep_inputs*.  *input_factory* (rng → job) replaces
+    :func:`random_inputs` for kernels whose deep paths noise rarely
+    reaches."""
+    rng = random.Random("%s/%s" % (seed, spec.name))
+    make = input_factory or (lambda r: random_inputs(spec, r))
+    deep = list(deep_inputs)
+    return [make(rng) for _ in range(count - len(deep))] + deep
 
 
-def _engine_run(kernel, scalars, memories, max_cycles):
-    kernel.reset()
-    results, cycles, _ = kernel.run(
-        max_cycles=max_cycles,
-        memories={name: list(image) for name, image in memories.items()},
-        **scalars)
-    images = {name: kernel.memory_image(name)
-              for name, _ in kernel.spec.memory_params}
-    return results, images, cycles
+# -- job streams: lists of (jobs, reset) chunks; reset is None (stay
+#    warm) or the memory images to load after a power-on reset --------
+
+def cold_chunks(jobs):
+    """Every job alone, on freshly reset legs."""
+    return [([job], {}) for job in jobs]
 
 
-def engine_differential_check(fn, opt_level=0, base_level=None, runs=12,
-                              seed="engine", max_cycles=200000,
-                              input_factory=None):
-    """Co-run *fn* on the engine at ``-Oopt_level`` and the interpreter
-    at ``-Obase_level`` (default: the same level) over seeded random
-    inputs.  Same-level runs also require identical cycle counts."""
-    from repro.engine.compiler import compile_kernel
-    from repro.kiwi.compiler import compile_function
-    if base_level is None:
-        base_level = opt_level
-    compare_latency = base_level == opt_level
-    reference = compile_function(fn, opt_level=base_level)
-    kernel = compile_kernel(fn, opt_level=opt_level)
-    report = EngineReport(reference.name, opt_level, base_level,
-                          compare_latency)
-    rng = random.Random("%s/%s" % (seed, reference.name))
-    make_inputs = input_factory or \
-        (lambda r: random_inputs(reference.spec, r))
-    for _ in range(runs):
-        scalars, memories = make_inputs(rng)
-        try:
-            interpreted = _interpret(reference, scalars, memories,
-                                     max_cycles)
-        except CompileError:
-            report.skipped += 1
-            continue
-        try:
-            engine = _engine_run(kernel, scalars, memories, max_cycles)
-        except EngineError:
-            report.mismatches.append(EngineMismatch(
-                scalars, interpreted[:2], "timeout", "timeout"))
-            continue
-        report.runs += 1
-        report.interpreter_cycles += interpreted[2]
-        report.engine_cycles += engine[2]
-        if interpreted[0] != engine[0]:
-            report.mismatches.append(EngineMismatch(
-                scalars, interpreted[0], engine[0], "results"))
-        elif interpreted[1] != engine[1]:
-            report.mismatches.append(EngineMismatch(
-                scalars, "(memories)", "(memories)", "memories"))
-        elif compare_latency and interpreted[2] != engine[2]:
-            report.mismatches.append(EngineMismatch(
-                scalars, interpreted[2], engine[2], "latency"))
-    return report
-
-
-class BatchReport:
-    """Outcome of one batch-differential session (three legs: lockstep
-    batched engine, scalar engine, interpreted netlist)."""
-
-    def __init__(self, name, opt_level, batch):
-        self.name = name
-        self.opt_level = opt_level
-        self.batch = batch
-        self.batches = 0
-        self.runs = 0
-        self.skipped = 0
-        self.mismatches = []
-        #: Batches the SoA engine actually ran in lockstep (vs its
-        #: scalar fallback) — callers assert this is > 0 so the check
-        #: cannot silently pass by never engaging the batched code.
-        self.lockstep_batches = 0
-        self.fallback_batches = 0
-
-    @property
-    def ok(self):
-        return not self.mismatches and self.runs > 0
-
-    def __repr__(self):
-        return ("BatchReport(%s: batch=%d at -O%d, %d batches / %d "
-                "runs, %d lockstep, %d mismatches)"
-                % (self.name, self.batch, self.opt_level, self.batches,
-                   self.runs, self.lockstep_batches,
-                   len(self.mismatches)))
-
-
-def batch_differential_check(fn, opt_level=0, batch=8, batches=8,
-                             seed="engine-batch", max_cycles=200000,
-                             input_factory=None, deep_inputs=None):
-    """Three-legged warm-stream differential proof for the lockstep
-    SoA engine (:mod:`repro.engine.batch`).
-
-    The same job stream runs through the batched engine (*batch* jobs
-    per ``run_batch`` call, ragged final batch included), the scalar
-    engine, and the warm interpreted netlist.  None of the legs reset
-    between jobs, so the comparison covers warm-state parity across
-    successive batches as well as per-lane results, per-lane cycle
-    counts, and the final memory images after every batch.
-
-    Even-numbered batches load every memory with a fresh full image
-    (the lockstep-capable shape); odd-numbered batches load only a
-    random subset of memories per job, leaving the rest warm — that
-    shape exercises the engine's scalar-fallback path and warm-memory
-    carry-over.  *deep_inputs* (a list of ``(scalars, memories)``
-    jobs) is prepended to the random stream for crafted deep request
-    paths; *input_factory(rng)* overrides the random generator.
-    """
-    from repro.engine.compiler import compile_kernel
-    from repro.kiwi.compiler import compile_function
-    reference = compile_function(fn, opt_level=opt_level)
-    scalar = compile_kernel(fn, opt_level=opt_level)
-    batched = compile_kernel(fn, opt_level=opt_level, batch=batch)
-    report = BatchReport(reference.name, opt_level, batch)
-    rng = random.Random("%s/%s" % (seed, reference.name))
-    make_inputs = input_factory or \
-        (lambda r: random_inputs(reference.spec, r))
-    mem_names = [name for name, _ in reference.spec.memory_params]
-
-    jobs = list(deep_inputs or [])
-    while len(jobs) < batches * batch:
-        jobs.append(make_inputs(rng))
-    # A ragged final batch: drop a few jobs so the last run_batch call
-    # is narrower than the configured width.
+def batch_chunks(jobs, batch, seed):
+    """Warm chunks of *batch* jobs.  A few leading jobs are dropped so
+    the final chunk is narrower than *batch*; odd chunks keep each
+    memory image with probability 0.6, leaving the rest warm."""
+    rng = random.Random("%s/chunks" % seed)
     if batch > 1 and len(jobs) > batch + 1:
-        jobs = jobs[:len(jobs) - rng.randrange(1, batch)]
-
-    sim = reference.simulator()
-
-    def reset_legs():
-        scalar.reset()
-        batched.reset()
-        return reference.simulator()
-
+        jobs = jobs[rng.randrange(1, batch):]
+    chunks = []
     for start in range(0, len(jobs), batch):
         chunk = jobs[start:start + batch]
-        narrow = start // batch % 2 == 1
-        prepared = []
-        for scalars, memories in chunk:
-            if narrow and len(mem_names) > 1:
-                keep = [name for name in mem_names
-                        if name in memories and rng.random() < 0.6]
-                memories = {name: memories[name] for name in keep}
-            prepared.append((scalars, memories))
-        try:
-            interp = []
-            for scalars, memories in prepared:
-                results, cycles, _ = reference.run_on(
-                    sim, max_cycles=max_cycles,
-                    memories={name: list(image)
-                              for name, image in memories.items()},
-                    **scalars)
-                interp.append((results, cycles))
-        except CompileError:
-            report.skipped += len(chunk)
-            sim = reset_legs()
-            continue
-        except EngineError:
-            # Interpreter timeout: skip the batch on every leg so the
-            # warm streams stay aligned.
-            report.skipped += len(chunk)
-            sim = reset_legs()
-            continue
-        try:
-            scalar_out = []
-            for scalars, memories in prepared:
-                results, cycles, _ = scalar.run(
-                    max_cycles=max_cycles,
-                    memories={name: list(image)
-                              for name, image in memories.items()},
-                    **scalars)
-                scalar_out.append((results, cycles))
-            batch_out = batched.run_batch(
-                [(scalars, memories) for scalars, memories in prepared],
-                max_cycles=max_cycles)
-        except EngineError:
-            report.mismatches.append(EngineMismatch(
-                "batch@%d" % start, interp, "timeout", "timeout"))
-            sim = reset_legs()
-            continue
-        report.batches += 1
-        report.runs += len(chunk)
-        if batch_out != interp:
-            report.mismatches.append(EngineMismatch(
-                "batch@%d" % start, interp, batch_out,
-                "batched-vs-interpreter"))
-        if batch_out != scalar_out:
-            report.mismatches.append(EngineMismatch(
-                "batch@%d" % start, scalar_out, batch_out,
-                "batched-vs-scalar"))
-        for name, mem in reference.spec.memory_params:
-            batched_image = batched.memory_image(name)
-            if batched_image != scalar.memory_image(name):
-                report.mismatches.append(EngineMismatch(
-                    "batch@%d" % start, "(memories)", name,
-                    "warm-memories-vs-scalar"))
-                break
-            interp_image = [sim.peek_memory(name, addr)
-                            for addr in range(mem.depth)]
-            if batched_image != interp_image:
-                report.mismatches.append(EngineMismatch(
-                    "batch@%d" % start, "(memories)", name,
-                    "warm-memories-vs-interpreter"))
-                break
-    report.lockstep_batches = batched.lockstep_batches
-    report.fallback_batches = batched.fallback_batches
-    return report
+        if start // batch % 2:
+            chunk = [(scalars, {name: image
+                                for name, image in memories.items()
+                                if len(memories) < 2
+                                or rng.random() < 0.6})
+                     for scalars, memories in chunk]
+        chunks.append((chunk, None))
+    return chunks
 
 
-def assert_batch_equivalent(fn, opt_level=0, batch=8, **kwargs):
-    """Raise :class:`~repro.errors.EngineError` unless the batched
-    engine matches the scalar engine and the interpreter on a warm
-    job stream; returns the report otherwise."""
-    report = batch_differential_check(fn, opt_level=opt_level,
-                                      batch=batch, **kwargs)
-    if not report.ok:
-        detail = report.mismatches[0] if report.mismatches else \
-            "no comparable runs"
-        raise EngineError(
-            "batched-engine verification failed for %r at -O%d "
-            "(batch=%d): %r"
-            % (report.name, opt_level, batch, detail))
-    return report
+def split_chunks(jobs, depth, streams):
+    """The first job's memories seed every leg; the other jobs carry
+    only their *streams* images and run as two warm chunks, split at
+    an offset that is not a multiple of *depth*."""
+    warm = jobs[0][1]
+    rest = [(scalars, {name: image for name, image in memories.items()
+                       if name in streams})
+            for scalars, memories in jobs[1:]]
+    split = max(1, len(rest) - max(1, depth // 2 + 1))
+    return [(rest[:split], warm), (rest[split:], None)]
 
 
-class PipelineReport:
-    """Outcome of one pipelined-differential session: the -O3
-    multi-request-in-flight executor against the sequential -O0
-    engine on one warm request stream."""
+# -- legs --------------------------------------------------------------------
 
-    def __init__(self, name, opt_level, depth):
+class EngineLeg:
+    """The scalar compiled engine; the base adapter.
+
+    ``run`` returns one ``(results, cycles, replies)`` per job, where
+    *replies* maps each requested memory to its image after the job.
+    """
+
+    kind = "engine"
+    #: Per-job cycles are the sequential machine's latency.
+    cycle_exact = True
+
+    def __init__(self, kernel):
+        self.kernel = kernel
+        self.spec = kernel.spec
+        self.level = kernel.opt_level
+        self.name = "%s-O%d" % (self.kind, self.level)
+
+    def reset(self, warm):
+        self.kernel.reset()
+        for name, image in warm.items():
+            self.kernel.load_memory(name, image)
+
+    def image(self, name):
+        return self.kernel.memory_image(name)
+
+    def run(self, jobs, replies):
+        out = []
+        for scalars, memories in jobs:
+            results, cycles = self._run_one(scalars, memories)
+            out.append((results, cycles,
+                        {name: self.image(name) for name in replies}))
+        return out
+
+    def _run_one(self, scalars, memories):
+        results, cycles, _ = self.kernel.run(
+            max_cycles=MAX_CYCLES, memories=memories, **scalars)
+        return results, cycles
+
+    def finish(self, report):
+        """Record executor facts on *report* after the stream."""
+
+
+class InterpretedLeg(EngineLeg):
+    """The interpreted netlist of a
+    :class:`~repro.kiwi.compiler.CompiledDesign` — the oracle."""
+
+    kind = "interpreter"
+
+    def reset(self, warm):
+        self.sim = self.kernel.simulator()
+        for name, image in warm.items():
+            for addr, value in enumerate(image):
+                self.sim.poke_memory(name, addr, value)
+
+    def image(self, name):
+        depth = dict(self.spec.memory_params)[name].depth
+        return [self.sim.peek_memory(name, addr) for addr in range(depth)]
+
+    def _run_one(self, scalars, memories):
+        results, cycles, _ = self.kernel.run_on(
+            self.sim, max_cycles=MAX_CYCLES, memories=memories,
+            **scalars)
+        return results, cycles
+
+
+class BatchedLeg(EngineLeg):
+    """``BatchedKernel.run_batch``, one call per chunk (a batch exposes
+    no per-job reply images).  A stream in which no chunk ran in
+    lockstep is a ``lockstep`` mismatch: the proof would only have
+    covered the sequential fallback."""
+
+    kind = "batched"
+
+    def __init__(self, kernel):
+        super().__init__(kernel)
+        self.name += "x%d" % kernel.batch
+
+    def run(self, jobs, replies):
+        return [(results, cycles, {}) for results, cycles
+                in self.kernel.run_batch(jobs, max_cycles=MAX_CYCLES)]
+
+    def finish(self, report):
+        report.lockstep_batches = self.kernel.lockstep_batches
+        report.fallback_batches = self.kernel.fallback_batches
+        if not report.lockstep_batches:
+            report.mismatches.append(Mismatch(
+                "lockstep", self.name, None, "stream", ">= 1", 0))
+
+
+class PipelinedLeg(EngineLeg):
+    """``PipelinedKernel.run_stream``, one call per chunk.  Its
+    latencies include overlap, so they are never compared.  When the
+    kernel's ``-O3`` schedule is feasible, a stream that never had two
+    requests in flight is an ``overlap`` mismatch."""
+
+    kind = "pipelined"
+    cycle_exact = False
+
+    def __init__(self, kernel):
+        super().__init__(kernel)
+        self.name += "d%d" % kernel.depth
+        self.peak = 0
+
+    def run(self, jobs, replies):
+        # run_stream's budget covers the whole chunk: give it the same
+        # per-job allowance the reference leg gets.
+        out = self.kernel.run_stream(
+            jobs, max_cycles=MAX_CYCLES * max(1, len(jobs)))
+        self.peak = max(self.peak, self.kernel.peak_in_flight)
+        return [(results, cycles, {name: images[name] for name in replies})
+                for results, cycles, images in out]
+
+    def finish(self, report):
+        report.achieved_ii = self.kernel.ii
+        report.peak_in_flight = self.peak
+        report.measured_interval = self.kernel.measured_interval()
+        if report.achieved_ii is not None and self.peak < 2:
+            report.mismatches.append(Mismatch(
+                "overlap", self.name, None, "stream", ">= 2", self.peak))
+
+
+# -- the report --------------------------------------------------------------
+
+class Mismatch:
+    """One divergence: the *kind* of property (``results``,
+    ``latency``, ``replies``, ``memories``, ``timeout``, ``lockstep``,
+    ``overlap``), the leg that diverged, the leg it was compared
+    against, where in the stream, and both observations."""
+
+    def __init__(self, kind, leg, against, where, expected, got):
+        self.kind = kind
+        self.leg = leg
+        self.against = against
+        self.where = where
+        self.expected = expected
+        self.got = got
+
+    def __repr__(self):
+        return ("Mismatch(%s: %s vs %s at %s: expected %r, got %r)"
+                % (self.kind, self.leg, self.against, self.where,
+                   self.expected, self.got))
+
+
+def _same_machine(a, b):
+    return a.cycle_exact and b.cycle_exact and a.level == b.level
+
+
+class Report:
+    """Outcome of one differential session."""
+
+    def __init__(self, name, legs):
         self.name = name
-        self.opt_level = opt_level
-        self.depth = depth
+        self.legs = [leg.name for leg in legs]
+        #: True when some candidate's cycles are compared to the
+        #: reference's (same-level sequential legs).
+        self.compare_latency = any(_same_machine(legs[0], leg)
+                                   for leg in legs[1:])
+        self.chunks = 0
         self.runs = 0
         self.skipped = 0
         self.mismatches = []
-        #: The schedule's initiation interval (None: kernel refused
-        #: pipelining and the stream ran serially).
+        #: Total cycles per leg name over the compared jobs.
+        self.cycles = {leg.name: 0 for leg in legs}
+        self.lockstep_batches = 0
+        self.fallback_batches = 0
+        #: The -O3 schedule's initiation interval (None: serial issue).
         self.achieved_ii = None
-        #: Most requests simultaneously in flight — callers assert
-        #: this is > 1 for pipelined kernels, so the check cannot
-        #: silently pass without ever overlapping requests.
         self.peak_in_flight = 0
         self.measured_interval = None
 
@@ -322,161 +305,99 @@ class PipelineReport:
     def ok(self):
         return not self.mismatches and self.runs > 0
 
+    @property
+    def cycle_reduction(self):
+        """Fraction of the reference's cycles the first candidate
+        removed (the optimizer's win when the legs differ in level)."""
+        base = self.cycles[self.legs[0]]
+        if not base:
+            return 0.0
+        return 1.0 - self.cycles[self.legs[1]] / base
+
+    def require(self, error=EngineError):
+        """Raise *error* unless the session passed; returns self."""
+        if not self.ok:
+            detail = self.mismatches[0] if self.mismatches else \
+                "no comparable runs"
+            raise error("differential verification failed for %r "
+                        "(%s): %r" % (self.name, " vs ".join(self.legs),
+                                      detail))
+        return self
+
     def __repr__(self):
-        return ("PipelineReport(%s: depth=%d at -O%d, ii=%r, peak=%d, "
-                "%d runs, %d mismatches)"
-                % (self.name, self.depth, self.opt_level,
-                   self.achieved_ii, self.peak_in_flight, self.runs,
-                   len(self.mismatches)))
+        return ("Report(%s: %s; %d runs in %d chunks, %d skipped, "
+                "%d mismatches)"
+                % (self.name, " vs ".join(self.legs), self.runs,
+                   self.chunks, self.skipped, len(self.mismatches)))
 
 
-def pipeline_differential_check(fn, opt_level=3, depth=4, requests=24,
-                                seed="engine-pipeline",
-                                max_cycles=400000, input_factory=None,
-                                deep_inputs=None, level_budget=None):
-    """Differential proof for the pipelined executor
-    (:mod:`repro.engine.pipelined`).
-
-    One warm request stream runs through the sequential ``-O0`` engine
-    and the ``-Oopt_level`` :class:`~repro.engine.pipelined.
-    PipelinedKernel` with up to *depth* requests in flight.  Warm
-    memories are seeded identically once, then each request carries
-    its own scalars and a full image of the kernel's stream buffer
-    (the ``frame``), exactly the per-request shape the cycle models
-    use.  Per-request results, per-request reply bytes (the mutated
-    stream buffer), and the final image of every memory must match;
-    latencies are exempt (overlap legitimately changes them).
-
-    The stream is split into two ``run_stream`` calls at an offset
-    that is deliberately *not* a multiple of *depth*, so the pipeline
-    drains mid-batch and restarts warm — the ragged-shutdown shape.
-    """
-    from repro.engine.compiler import compile_kernel
-    from repro.engine.pipelined import PipelinedKernel
-    from repro.kiwi.compiler import DEFAULT_LEVEL_BUDGET, compile_function
-    design = compile_function(
-        fn, opt_level=opt_level,
-        level_budget=(DEFAULT_LEVEL_BUDGET if level_budget is None
-                      else level_budget))
-    sequential = compile_kernel(fn, opt_level=0)
-    pipelined = PipelinedKernel(design, depth=depth)
-    report = PipelineReport(design.name, opt_level, depth)
-    schedule = pipelined.schedule
-    if schedule is not None and schedule.feasible:
-        report.achieved_ii = schedule.initiation_interval
-    rng = random.Random("%s/%s" % (seed, design.name))
-    make_inputs = input_factory or \
-        (lambda r: random_inputs(design.spec, r))
-    streams = set(pipelined.stream_memories)
-    mem_params = list(design.spec.memory_params)
-
-    # Identical warm seed for both legs, then per-request jobs that
-    # reload only the stream buffers.
-    warm_scalars, warm_memories = make_inputs(rng)
-    jobs = []
-    for _ in range(max(1, int(requests)) - len(list(deep_inputs or []))):
-        scalars, memories = make_inputs(rng)
-        jobs.append((scalars, {name: image
-                               for name, image in memories.items()
-                               if name in streams}))
-    for scalars, memories in (deep_inputs or []):
-        jobs.append((scalars, {name: image
-                               for name, image in memories.items()
-                               if name in streams}))
-
-    def seed_leg(kernel):
-        kernel.reset()
-        for name, image in warm_memories.items():
-            kernel.load_memory(name, list(image))
-
-    # Sequential leg first; a timeout truncates the stream for both
-    # legs so the warm comparison stays aligned.
-    seed_leg(sequential)
-    expected = []
-    for index, (scalars, memories) in enumerate(jobs):
-        try:
-            results, _, _ = sequential.run(
-                max_cycles=max_cycles,
-                memories={name: list(image)
-                          for name, image in memories.items()},
-                **scalars)
-        except EngineError:
-            report.skipped += len(jobs) - index
-            jobs = jobs[:index]
-            break
-        expected.append((results,
-                         {name: sequential.memory_image(name)
-                          for name in streams}))
-    final_expected = {name: sequential.memory_image(name)
-                      for name, _ in mem_params}
-
-    seed_leg(pipelined)
-    split = max(1, len(jobs) - max(1, depth // 2 + 1))
-    try:
-        got = list(pipelined.run_stream(jobs[:split],
-                                        max_cycles=max_cycles))
-        drained = pipelined.peak_in_flight
-        got += list(pipelined.run_stream(jobs[split:],
-                                         max_cycles=max_cycles))
-    except EngineError as exc:
-        report.mismatches.append(EngineMismatch(
-            "stream", "completed", str(exc), "timeout"))
-        return report
-    report.peak_in_flight = max(drained, pipelined.peak_in_flight)
-    report.measured_interval = pipelined.measured_interval()
-
-    report.runs = len(jobs)
-    for index, ((results, images), (p_results, _, p_images)) in \
-            enumerate(zip(expected, got)):
-        if results != p_results:
-            report.mismatches.append(EngineMismatch(
-                "request %d" % index, results, p_results, "results"))
-        elif images != p_images:
-            report.mismatches.append(EngineMismatch(
-                "request %d" % index, "(reply bytes)", "(reply bytes)",
-                "reply-bytes"))
-    for name, _ in mem_params:
-        if pipelined.memory_image(name) != final_expected[name]:
-            report.mismatches.append(EngineMismatch(
-                "final", "(memories)", name, "final-memories"))
-            break
-    return report
+def _compare(report, where, first, second):
+    a, a_runs, a_images = first
+    b, b_runs, b_images = second
+    if len(a_runs) != len(b_runs):
+        report.mismatches.append(Mismatch(
+            "results", b.name, a.name, where, len(a_runs), len(b_runs)))
+    fields = [("results", 0), ("replies", 2)]
+    if _same_machine(a, b):
+        fields.append(("latency", 1))
+    for job, (want, got) in enumerate(zip(a_runs, b_runs)):
+        for kind, field in fields:
+            if want[field] != got[field]:
+                report.mismatches.append(Mismatch(
+                    kind, b.name, a.name, "%s job %d" % (where, job),
+                    want[field], got[field]))
+    for name, image in a_images.items():
+        other = b_images[name]
+        if image != other:
+            addr = next((i for i, (x, y) in enumerate(zip(image, other))
+                         if x != y), min(len(image), len(other)))
+            report.mismatches.append(Mismatch(
+                "memories", b.name, a.name,
+                "%s %s[%d]" % (where, name, addr),
+                image[addr:addr + 1], other[addr:addr + 1]))
 
 
-def assert_pipeline_equivalent(fn, opt_level=3, depth=4,
-                               require_overlap=None, **kwargs):
-    """Raise :class:`~repro.errors.EngineError` unless the pipelined
-    executor matches the sequential ``-O0`` engine on a warm request
-    stream.  *require_overlap* (default: automatic — required exactly
-    when the kernel's schedule is feasible) additionally insists the
-    stream genuinely had more than one request in flight."""
-    report = pipeline_differential_check(fn, opt_level=opt_level,
-                                         depth=depth, **kwargs)
-    if not report.ok:
-        detail = report.mismatches[0] if report.mismatches else \
-            "no comparable runs"
-        raise EngineError(
-            "pipelined-engine verification failed for %r at -O%d "
-            "(depth=%d): %r"
-            % (report.name, opt_level, depth, detail))
-    if require_overlap is None:
-        require_overlap = report.achieved_ii is not None
-    if require_overlap and report.peak_in_flight < 2:
-        raise EngineError(
-            "pipelined-engine verification for %r never overlapped "
-            "requests (peak in flight %d)"
-            % (report.name, report.peak_in_flight))
-    return report
-
-
-def assert_engine_equivalent(fn, opt_level=0, **kwargs):
-    """Raise :class:`~repro.errors.EngineError` unless the engine
-    matches the interpreter; returns the report otherwise."""
-    report = engine_differential_check(fn, opt_level=opt_level, **kwargs)
-    if not report.ok:
-        detail = report.mismatches[0] if report.mismatches else \
-            "no comparable runs"
-        raise EngineError(
-            "engine verification failed for %r at -O%d: %r"
-            % (report.name, opt_level, detail))
+def differential(reference, candidates, chunks, replies=()):
+    """Run *chunks* — ``(jobs, reset)`` pairs from :func:`cold_chunks`,
+    :func:`batch_chunks` or :func:`split_chunks` — through the
+    *reference* leg and every candidate leg, comparing every pair of
+    legs after each chunk.  *replies* names the memories whose image
+    after each job is compared as that job's reply bytes.  Returns a
+    :class:`Report`; :meth:`Report.require` turns it into a gate."""
+    legs = [reference] + list(candidates)
+    memory_names = [name for name, _ in reference.spec.memory_params]
+    report = Report(reference.spec.name, legs)
+    for leg in legs:
+        leg.reset({})
+    for index, (jobs, reset) in enumerate(chunks):
+        where = "chunk %d" % index
+        if reset is not None:
+            for leg in legs:
+                leg.reset(reset)
+        seen = []
+        for leg in legs:
+            try:
+                runs = leg.run(jobs, replies)
+            except _TIMEOUTS as exc:
+                if leg is reference:
+                    report.skipped += len(jobs)
+                else:
+                    report.mismatches.append(Mismatch(
+                        "timeout", leg.name, reference.name, where,
+                        "completed", str(exc)))
+                for other in legs:
+                    other.reset({})
+                break
+            seen.append((leg, runs,
+                         {name: leg.image(name) for name in memory_names}))
+        else:
+            report.chunks += 1
+            report.runs += len(jobs)
+            for position, observed in enumerate(seen):
+                report.cycles[observed[0].name] += sum(
+                    cycles for _, cycles, _ in observed[1])
+                for earlier in seen[:position]:
+                    _compare(report, where, earlier, observed)
+    for leg in candidates:
+        leg.finish(report)
     return report

@@ -15,7 +15,7 @@ also the paper's number, from architecture rather than coincidence.
 from repro.baselines.p4fpga import P4FpgaSwitch
 from repro.baselines.reference_switch import ReferenceSwitch
 from repro.harness.report import render_table
-from repro.rtl import Simulator, estimate_resources
+from repro.rtl import estimate_resources
 from repro.services.switch import build_emu_switch_core
 from repro.targets.fpga import CLOCK_HZ, line_rate_pps
 
@@ -52,7 +52,7 @@ def _streaming_throughput_mpps(ii_cycles):
     return NUM_PORTS * per_port / 1e6
 
 
-def measure_emu_switch(opt_level=None, use_engine=True):
+def measure_emu_switch(opt_level=None):
     """Compile + simulate the Emu switch core; returns a row.
 
     The default (``None``) pins ``-O0`` so the baseline row keeps
@@ -60,11 +60,9 @@ def measure_emu_switch(opt_level=None, use_engine=True):
     level for an optimized row (latency is measured on whatever machine
     that level emits, so the rows are comparable).
 
-    Module latency is measured on the compiled execution engine by
-    default (cycle-identical to the netlist simulator by the engine's
-    differential proof); ``use_engine=False`` falls back to stepping
-    the interpreted :class:`Simulator` — the deprecated path, kept so
-    the two measurements can always be cross-checked.
+    Module latency is measured on the compiled execution engine
+    (cycle-identical to the netlist simulator by the engine's
+    differential proof).
     """
     design, top = build_emu_switch_core(
         opt_level=0 if opt_level is None else opt_level)
@@ -72,20 +70,8 @@ def measure_emu_switch(opt_level=None, use_engine=True):
     # Measured module latency: run the kernel FSM on one packet and
     # add the CAM interface cycles plus the output registration cycle.
     probe = {"src_port": 2, "dst_hit": 0, "dst_port": 0, "src_hit": 0}
-    if use_engine:
-        from repro.engine import compile_design
-        _, cycles, _ = compile_design(design).run(**probe)
-    else:
-        sim = Simulator(design.module)
-        sim.poke("start", 1)
-        for name, value in probe.items():
-            sim.poke(name, value)
-        sim.step()
-        sim.poke("start", 0)
-        cycles = 1
-        while sim.peek("busy"):
-            sim.step()
-            cycles += 1
+    from repro.engine import compile_design
+    _, cycles, _ = compile_design(design).run(**probe)
     latency = cycles + EMU_CAM_INTERFACE_CYCLES + 1
     name = "Emu (C#)" if opt_level is None else "Emu (C#) -O%d" % opt_level
     return SwitchComparison(

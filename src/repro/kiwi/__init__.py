@@ -26,10 +26,10 @@ from repro.kiwi.runtime import (
 from repro.kiwi.compiler import (
     CompiledDesign, compile_function, compile_threads,
 )
-from repro.kiwi.opt import PassStats, differential_check, optimize
+from repro.kiwi.opt import PassStats, optimize
 
 __all__ = [
     "Pause", "pause", "run_software", "HardwareThread", "KiwiScheduler",
     "CompiledDesign", "compile_function", "compile_threads",
-    "PassStats", "differential_check", "optimize",
+    "PassStats", "optimize",
 ]

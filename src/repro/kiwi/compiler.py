@@ -19,10 +19,12 @@ selected by ``opt_level``:
   requests every ``achieved_ii`` cycles, which the cycle models use
   as the sustained service interval.
 
-``verify=True`` additionally runs differential co-simulation of the
-optimized design against ``-O0`` on seeded random inputs and raises if
-they ever diverge (a debug mode; the test suite runs the same check as
-a property test).
+``verify=True`` additionally co-simulates the optimized netlist against
+the ``-O0`` netlist on seeded random inputs
+(:func:`repro.engine.verify.differential`) and raises
+:class:`~repro.errors.CompileError` if results or final memories ever
+diverge (a debug mode; the test suite runs the same check as a
+property test).
 """
 
 from repro.errors import CompileError
@@ -241,10 +243,14 @@ def compile_function(fn, name=None, opt_level=DEFAULT_OPT_LEVEL,
     design = CompiledDesign(spec, fsm, module, timing,
                             opt_level=opt_level, pass_stats=pass_stats)
     if verify and opt_level > 0:
-        from repro.kiwi.opt.verify import assert_equivalent
-        design.verification = assert_equivalent(
-            fn, opt_level=opt_level, optimized=design,
-            input_factory=verify_inputs)
+        from repro.engine.verify import (
+            InterpretedLeg, cold_chunks, differential, random_jobs,
+        )
+        base = compile_function(fn, opt_level=0)
+        design.verification = differential(
+            InterpretedLeg(base), [InterpretedLeg(design)],
+            cold_chunks(random_jobs(spec, "kiwi-opt", 16, verify_inputs)),
+        ).require(CompileError)
     return design
 
 

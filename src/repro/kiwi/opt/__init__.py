@@ -16,9 +16,10 @@ a cycle.  This package rewrites that FSM before code generation:
   :class:`~repro.kiwi.opt.pipeline.PipelineSchedule`.
 * :mod:`repro.kiwi.opt.manager` — pipelines per ``opt_level``
   (0/1/2/3) and the fixpoint driver.
-* :mod:`repro.kiwi.opt.verify` — differential co-simulation proving
-  ``-On`` observationally equivalent to ``-O0`` on seeded random
-  inputs.
+
+``compile_function(..., verify=True)`` proves ``-On`` observationally
+equivalent to ``-O0`` with the one differential harness,
+:func:`repro.engine.verify.differential`.
 
 Entry point: :func:`repro.kiwi.opt.manager.optimize`, called by
 :func:`repro.kiwi.compiler.compile_function` with its ``opt_level``.
@@ -33,9 +34,6 @@ from repro.kiwi.opt.pipeline import (
     DEFAULT_STREAM_MEMORIES, PIPELINE_CONTROL_LEVELS, PipelineSchedule,
     analyze_pipeline,
 )
-from repro.kiwi.opt.verify import (
-    DifferentialReport, assert_equivalent, differential_check,
-)
 
 __all__ = [
     "PIPELINES", "PassManager", "optimize",
@@ -43,5 +41,4 @@ __all__ = [
     "DeadRegisterPass", "OptContext", "PassStats", "StateFusionPass",
     "DEFAULT_STREAM_MEMORIES", "PIPELINE_CONTROL_LEVELS",
     "PipelineSchedule", "analyze_pipeline",
-    "DifferentialReport", "assert_equivalent", "differential_check",
 ]

@@ -9,12 +9,11 @@ running the frame through the compiled machine with warm state (so
 stateful kernels — e.g. Memcached's key-value memories — keep their
 state between requests, exactly like the hardware).
 
-Since the engine refactor the measurement runs on the compiled
-execution spine (:mod:`repro.engine.compiler`) by default — the cycle
-counts are identical by the engine's differential proof, the wall
-clock is not.  ``use_engine=False`` falls back to stepping the
-interpreted netlist :class:`~repro.rtl.simulator.Simulator` (the
-deprecated path, kept for cross-checking).
+The measurement runs on the compiled execution spine
+(:mod:`repro.engine.compiler`, or its lockstep batched twin with
+``batch=N``): the cycle counts equal the interpreted netlist's by the
+engine's differential proof (:mod:`repro.engine.verify`), which is the
+only place the interpreter still runs.
 """
 
 from repro.errors import TargetError
@@ -31,8 +30,8 @@ class KernelCycleModel:
     """
 
     def __init__(self, kernel, opt_level, scalars=None,
-                 frame_param="frame", max_cycles=100000, use_engine=True,
-                 batch=None, level_budget=None):
+                 frame_param="frame", max_cycles=100000, batch=None,
+                 level_budget=None):
         self.level_budget = (DEFAULT_LEVEL_BUDGET if level_budget is None
                              else int(level_budget))
         self.design = compile_function(kernel, opt_level=opt_level,
@@ -42,23 +41,13 @@ class KernelCycleModel:
             raise TargetError(
                 "kernel %r has no %r memory parameter"
                 % (self.design.name, frame_param))
-        if batch is not None and not use_engine:
-            raise TargetError(
-                "batched measurement needs the compiled engine runner "
-                "(use_engine=True)")
         self.frame_param = frame_param
         self.depth = memories[frame_param].depth
         self.scalars = dict(scalars or {})
         self.max_cycles = max_cycles
-        self.use_engine = use_engine
         self.batch = None if batch is None else int(batch)
-        if use_engine:
-            from repro.engine.compiler import compile_design
-            self._runner = compile_design(self.design, batch=batch)
-            self.sim = None
-        else:
-            self.sim = self.design.simulator()
-            self._runner = None
+        from repro.engine.compiler import compile_design
+        self._runner = compile_design(self.design, batch=batch)
         self.requests = 0
         self.total_cycles = 0
 
@@ -81,51 +70,32 @@ class KernelCycleModel:
 
     def poke_memory(self, name, addr, value):
         """Backdoor-program one warm memory word (services use this to
-        install rule tables etc.), whichever runner is active."""
-        if self._runner is not None:
-            self._runner.poke_memory(name, addr, value)
-        else:
-            self.sim.poke_memory(name, addr, value)
+        install rule tables etc.)."""
+        self._runner.poke_memory(name, addr, value)
 
     # -- profiling (per-FSM-state cycle attribution) -------------------------
 
     def enable_profiling(self):
         """Switch the engine runner to its per-state-counting twin
-        (:meth:`repro.engine.compiler.CompiledKernel.enable_profiling`);
-        only the engine path has the counters, the interpreted netlist
-        fallback raises."""
-        if self._runner is None:
-            raise TargetError(
-                "per-state profiling needs the compiled engine runner "
-                "(use_engine=True)")
+        (:meth:`repro.engine.compiler.CompiledKernel.enable_profiling`)."""
         self._runner.enable_profiling()
         return self
 
     def disable_profiling(self):
-        if self._runner is not None:
-            self._runner.disable_profiling()
+        self._runner.disable_profiling()
 
     def profile(self):
         """The accumulated :class:`~repro.obs.profiler.KernelProfile`
         (raises unless :meth:`enable_profiling` ran first)."""
-        if self._runner is None:
-            raise TargetError(
-                "per-state profiling needs the compiled engine runner "
-                "(use_engine=True)")
         from repro.obs.profiler import KernelProfile
         return KernelProfile.from_kernel(self._runner)
 
     def cycles(self, frame):
         """Measured latency (cycles) of one frame through the kernel."""
-        image = self._frame_image(frame)
-        if self._runner is not None:
-            _, latency, _ = self._runner.run(
-                max_cycles=self.max_cycles,
-                memories={self.frame_param: image}, **self.scalars)
-        else:
-            _, latency, _ = self.design.run_on(
-                self.sim, max_cycles=self.max_cycles,
-                memories={self.frame_param: image}, **self.scalars)
+        _, latency, _ = self._runner.run(
+            max_cycles=self.max_cycles,
+            memories={self.frame_param: self._frame_image(frame)},
+            **self.scalars)
         self.requests += 1
         self.total_cycles += latency
         return latency
@@ -145,7 +115,7 @@ class KernelCycleModel:
         in :mod:`repro.engine.verify` proves it); only the wall clock
         differs.  Without a batched runner this *is* that loop.
         """
-        if self.batch is None or self._runner is None:
+        if self.batch is None:
             return [self.cycles(frame) for frame in frames]
         latencies = []
         frames = list(frames)

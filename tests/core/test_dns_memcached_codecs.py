@@ -12,9 +12,11 @@ from repro.core.protocols.memcached import (
     MemcachedBinaryWrapper, build_ascii_delete, build_ascii_get,
     build_ascii_set, build_binary_delete, build_binary_get,
     build_binary_response, build_binary_set, build_udp_frame_header,
-    parse_ascii_command, split_udp_frame,
+    memcached_is_write, parse_ascii_command, split_udp_frame,
 )
+from repro.core.protocols.udp import build_udp
 from repro.errors import ParseError
+from repro.net.packet import Frame
 
 
 class TestDnsNames:
@@ -118,6 +120,46 @@ class TestMemcachedBinary:
     def test_short_message_rejected(self):
         with pytest.raises(ParseError):
             MemcachedBinaryWrapper(b"\x80\x00")
+
+
+def _udp_frame(body):
+    """A full Ethernet/IPv4/UDP frame carrying one memcached request."""
+    payload = build_udp_frame_header(7) + body
+    return Frame(build_udp(0x020000000001, 0x020000000002, 0x0A000002,
+                           0x0A000001, 40000, 11211, payload))
+
+
+class TestMemcachedIsWrite:
+    def test_binary_set_and_delete_are_writes(self):
+        assert memcached_is_write(_udp_frame(
+            build_binary_set(b"abcdef", b"value123")))
+        assert memcached_is_write(_udp_frame(build_binary_delete(b"abc")))
+
+    def test_ascii_set_and_delete_are_writes(self):
+        assert memcached_is_write(_udp_frame(build_ascii_set(b"k", b"v")))
+        assert memcached_is_write(_udp_frame(build_ascii_delete(b"k")))
+
+    def test_get_is_not_a_write(self):
+        assert not memcached_is_write(_udp_frame(build_binary_get(b"k")))
+
+    def test_body_of_only_the_magic_byte_is_not_a_write(self):
+        """An 80-byte binary GET cut to 51 bytes leaves the single
+        body byte 0x80 (it used to raise IndexError)."""
+        frame = _udp_frame(build_binary_get(b"abcdef"))
+        assert len(frame.data) == 80
+        cut = Frame(bytes(frame.data[:51]))
+        assert not memcached_is_write(cut)
+
+    def test_truncated_frame_is_not_a_write(self):
+        frame = _udp_frame(build_binary_set(b"abcdef", b"value123"))
+        for length in (0, 13, 30, 41, 45, 50):
+            assert not memcached_is_write(Frame(bytes(frame.data[:length])))
+
+    def test_classifier_bugs_are_not_swallowed(self):
+        """Only ParseError means "not a request"; anything else is a
+        bug and must surface instead of skipping replication."""
+        with pytest.raises(AttributeError):
+            memcached_is_write(object())
 
 
 class TestMemcachedAscii:

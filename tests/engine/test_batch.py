@@ -3,8 +3,9 @@
 The batched engine (:mod:`repro.engine.batch`) is an aggressive
 compilation mode — fused superblocks, per-lane early exits, hazard
 gating — so nothing here is assumed: every property is a differential
-proof against the scalar engine and (through the verify harness) the
-interpreted netlist, on warm streams.
+proof against the scalar engine and (through
+:func:`repro.engine.verify.differential`) the interpreted netlist, on
+warm streams.
 
 * three-legged warm-stream proof on every service kernel, with the
   lockstep path asserted engaged (the check cannot pass by silently
@@ -28,14 +29,16 @@ import pytest
 
 from repro.deploy import deploy
 from repro.engine import (
-    BatchedKernel, assert_batch_equivalent, batch_differential_check,
-    compile_design, compile_kernel,
+    BatchedKernel, compile_design, compile_kernel, differential,
+)
+from repro.engine.verify import (
+    BatchedLeg, EngineLeg, InterpretedLeg, batch_chunks, random_inputs,
+    random_jobs,
 )
 from repro.harness.optimization import (
     SERVICE_KERNELS, memcached_binary_frame, memcached_request_inputs,
 )
 from repro.kiwi.compiler import compile_function
-from repro.kiwi.opt.verify import random_inputs
 from repro.services.memcached import memcached_kernel
 from repro.targets.pipeline import INPUT_QUEUE_DEPTH
 
@@ -45,11 +48,27 @@ KERNEL_CASES = [(case.name, case.kernel) for case in SERVICE_KERNELS]
 KERNEL_IDS = [name for name, _ in KERNEL_CASES]
 
 
+def three_legs(kernel, opt_level, batch, batches, seed,
+               input_factory=None):
+    """Warm-stream proof: the interpreter (reference), the scalar
+    engine and the batched engine on *batches* chunks of *batch*
+    jobs."""
+    reference = compile_function(kernel, opt_level=opt_level)
+    jobs = random_jobs(reference.spec, seed, batch * batches,
+                       input_factory)
+    return differential(
+        InterpretedLeg(reference),
+        [EngineLeg(compile_kernel(kernel, opt_level=opt_level)),
+         BatchedLeg(compile_kernel(kernel, opt_level=opt_level,
+                                   batch=batch))],
+        batch_chunks(jobs, batch, seed))
+
+
 @pytest.mark.parametrize("name,kernel", KERNEL_CASES, ids=KERNEL_IDS)
 def test_batched_matches_scalar_and_interpreter(name, kernel):
-    report = assert_batch_equivalent(
+    report = three_legs(
         kernel, opt_level=0, batch=4, batches=3,
-        seed="%s/three-legs" % SEED)
+        seed="%s/three-legs" % SEED).require()
     assert report.ok
     # The lockstep path must actually have run — a report that only
     # exercised the scalar fallback proves nothing about the SoA code.
@@ -60,7 +79,7 @@ def test_crafted_memcached_deep_paths():
     """GET/SET/DELETE on warm tables through the batched engine, at
     the unoptimized and optimized levels."""
     for level in (0, 2):
-        report = batch_differential_check(
+        report = three_legs(
             memcached_kernel, opt_level=level, batch=8, batches=4,
             seed="%s/crafted/%d" % (SEED, level),
             input_factory=memcached_request_inputs)

@@ -13,14 +13,18 @@ from the interpreted netlist simulator:
 * warm state: a request sequence on one warm kernel matches the same
   sequence on one warm simulator, step for step.
 
+Every proof is one :func:`repro.engine.verify.differential` session:
+the interpreted netlist is the reference leg, the scalar engine the
+candidate, and the job stream is cold (every leg reset per job).
+
 Seeded per tests/README: one module SEED, one stream per property.
 """
 
 import pytest
 
-from repro.engine import (
-    assert_engine_equivalent, compile_design, compile_kernel,
-    engine_differential_check,
+from repro.engine import compile_design, compile_kernel
+from repro.engine.verify import (
+    EngineLeg, InterpretedLeg, cold_chunks, differential, random_jobs,
 )
 from repro.errors import EngineError
 from repro.harness.optimization import (
@@ -31,19 +35,32 @@ from repro.services.memcached import memcached_kernel
 
 SEED = "engine-differential"
 
+
+def engine_vs_interpreter(kernel, opt_level, base_level=None, runs=12,
+                          seed=SEED, input_factory=None):
+    """The scalar engine at -Oopt_level against the interpreter at
+    -Obase_level (default: the same level) on *runs* cold jobs."""
+    reference = compile_function(
+        kernel, opt_level=opt_level if base_level is None else base_level)
+    return differential(
+        InterpretedLeg(reference),
+        [EngineLeg(compile_kernel(kernel, opt_level=opt_level))],
+        cold_chunks(random_jobs(reference.spec, seed, runs,
+                                input_factory)))
+
 KERNEL_CASES = [(case.name, case.kernel) for case in SERVICE_KERNELS]
 KERNEL_IDS = [name for name, _ in KERNEL_CASES]
 
 
 @pytest.mark.parametrize("name,kernel", KERNEL_CASES, ids=KERNEL_IDS)
 def test_engine_matches_interpreter_at_o0(name, kernel):
-    report = engine_differential_check(
+    report = engine_vs_interpreter(
         kernel, opt_level=0, runs=5,
         seed="%s/same-level" % SEED)
     assert report.ok, report.mismatches[:1]
     assert report.compare_latency
     # Same machine, so the engine simulated exactly the same cycles.
-    assert report.engine_cycles == report.interpreter_cycles
+    assert report.cycles["engine-O0"] == report.cycles["interpreter-O0"]
 
 
 @pytest.mark.parametrize("name,kernel", KERNEL_CASES, ids=KERNEL_IDS)
@@ -51,7 +68,7 @@ def test_engine_o2_matches_interpreter_o0(name, kernel):
     """The satellite contract: the engine compiled from the *optimized*
     FSM still reproduces the unoptimized interpreter's observable
     behaviour (results + final memories; cycles differ by design)."""
-    report = engine_differential_check(
+    report = engine_vs_interpreter(
         kernel, opt_level=2, base_level=0, runs=5,
         seed="%s/cross-level" % SEED)
     assert report.ok, report.mismatches[:1]
@@ -62,16 +79,17 @@ def test_engine_crafted_memcached_requests():
     """Deep GET/SET/DELETE paths via the crafted input factory, at
     every opt level."""
     for level in (0, 1, 2):
-        report = engine_differential_check(
+        report = engine_vs_interpreter(
             memcached_kernel, opt_level=level, runs=6,
             seed="%s/crafted/%d" % (SEED, level),
             input_factory=memcached_request_inputs)
         assert report.ok, (level, report.mismatches[:1])
 
 
-def test_assert_engine_equivalent_returns_report():
-    report = assert_engine_equivalent(memcached_kernel, opt_level=1,
-                                      runs=3, seed=SEED)
+def test_require_returns_report():
+    report = engine_vs_interpreter(memcached_kernel, opt_level=1,
+                                   runs=3, seed=SEED)
+    assert report.require() is report
     assert report.runs == 3
 
 

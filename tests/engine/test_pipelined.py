@@ -15,13 +15,18 @@ memory dependences, strict in-order retire.  These tests check
 * ragged in-flight shutdown: draining mid-stream and resuming keeps
   parity (the check splits its stream on purpose);
 * infeasible kernels fall back to serial issue and still match.
+
+Every proof is one :func:`repro.engine.verify.differential` session:
+the sequential -O0 engine is the reference leg, the pipelined executor
+the candidate, and the job stream is :func:`split_chunks` (a warm seed,
+then per-request frames in two chunks).
 """
 
 import pytest
 
-from repro.engine import (
-    PipelinedKernel, assert_pipeline_equivalent, compile_pipelined,
-    pipeline_differential_check,
+from repro.engine import compile_kernel, compile_pipelined, differential
+from repro.engine.verify import (
+    EngineLeg, PipelinedLeg, random_jobs, split_chunks,
 )
 from repro.errors import EngineError
 from repro.harness.optimization import (
@@ -29,6 +34,20 @@ from repro.harness.optimization import (
 )
 
 SEED = "engine-pipelined-1"
+
+
+def pipelined_vs_sequential(fn, depth, requests, seed, input_factory=None,
+                            deep_inputs=(), level_budget=None):
+    """*requests* warm requests through the -O3 pipelined executor at
+    *depth* and the sequential -O0 engine; per-request reply bytes
+    (the stream memories) are compared too."""
+    piped = compile_pipelined(fn, depth=depth, level_budget=level_budget)
+    jobs = random_jobs(piped.spec, seed, requests + 1, input_factory,
+                       deep_inputs)
+    return differential(
+        EngineLeg(compile_kernel(fn, opt_level=0)), [PipelinedLeg(piped)],
+        split_chunks(jobs, depth, piped.stream_memories),
+        replies=piped.stream_memories)
 
 #: Kernels whose -O3 schedule is feasible (see tests/kiwi/test_pipeline).
 OVERLAPPING = {"ICMP echo", "memcached GET", "NAT outbound"}
@@ -92,10 +111,10 @@ class TestServiceKernelDifferential:
     @pytest.mark.parametrize(
         "case", SERVICE_KERNELS, ids=lambda c: c.name)
     def test_pipelined_matches_sequential(self, case):
-        report = assert_pipeline_equivalent(
+        report = pipelined_vs_sequential(
             case.kernel, depth=4, requests=24,
             seed="%s/%s" % (SEED, case.name),
-            deep_inputs=_deep_inputs(case))
+            deep_inputs=_deep_inputs(case)).require()
         assert report.runs >= 4
         assert report.mismatches == []
         if case.name in OVERLAPPING:
@@ -111,10 +130,10 @@ class TestServiceKernelDifferential:
         pipelined memcached kernel, deep — depth 8, 48 requests."""
         case = next(c for c in SERVICE_KERNELS
                     if c.name == "memcached GET")
-        report = assert_pipeline_equivalent(
+        report = pipelined_vs_sequential(
             case.kernel, depth=8, requests=48,
             seed="%s/memcached-protocol" % SEED,
-            input_factory=memcached_request_inputs)
+            input_factory=memcached_request_inputs).require()
         assert report.achieved_ii == 1
         assert report.peak_in_flight >= 3
 
@@ -126,9 +145,9 @@ class TestHazardKernels:
                              [(drain_raw3, 3), (drain_raw2, 2)],
                              ids=["raw3", "raw2"])
     def test_hazard_parity_and_interval(self, kernel, expected_ii):
-        report = assert_pipeline_equivalent(
+        report = pipelined_vs_sequential(
             kernel, depth=8, requests=40,
-            seed="%s/hazard" % SEED)
+            seed="%s/hazard" % SEED).require()
         assert report.mismatches == []
         assert report.achieved_ii == expected_ii
         assert report.peak_in_flight >= 2
@@ -143,7 +162,7 @@ class TestRaggedShutdown:
 
     @pytest.mark.parametrize("depth", [2, 3, 5, 8])
     def test_depths(self, depth):
-        report = pipeline_differential_check(
+        report = pipelined_vs_sequential(
             drain_raw2, depth=depth, requests=19,
             seed="%s/ragged-%d" % (SEED, depth))
         assert report.ok, report.mismatches[:3]
@@ -175,7 +194,7 @@ class TestSerialFallback:
         kernel = compile_pipelined(case.kernel, depth=4)
         assert kernel.schedule is not None
         assert not kernel.schedule.feasible
-        report = pipeline_differential_check(
+        report = pipelined_vs_sequential(
             case.kernel, depth=4, requests=12,
             seed="%s/dns-serial" % SEED,
             deep_inputs=_deep_inputs(case))
@@ -191,7 +210,7 @@ class TestSerialFallback:
         squeezed = compile_pipelined(drain_raw2, depth=4, level_budget=2)
         assert not squeezed.schedule.feasible
         assert "budget" in squeezed.schedule.reason
-        report = pipeline_differential_check(
+        report = pipelined_vs_sequential(
             drain_raw2, depth=4, requests=10, level_budget=2,
             seed="%s/budget-serial" % SEED)
         assert report.ok

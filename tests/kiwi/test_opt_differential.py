@@ -17,8 +17,10 @@ import random
 from repro.harness.optimization import (
     SERVICE_KERNELS, measure_kernel, memcached_request_inputs,
 )
+from repro.engine.verify import (
+    InterpretedLeg, cold_chunks, differential, random_jobs,
+)
 from repro.kiwi import compile_function
-from repro.kiwi.opt.verify import differential_check
 from repro.services.dns_server import dns_kernel
 from repro.services.filter_l3l4 import filter_kernel
 from repro.services.icmp_echo import icmp_echo_kernel
@@ -31,6 +33,16 @@ SEED = "kiwi-opt-differential-1"
 
 def _rng(name):
     return random.Random("%s/%s" % (SEED, name))
+
+
+def opt_vs_o0(kernel, opt_level, runs, seed=SEED, input_factory=None):
+    """The -Oopt_level netlist against the -O0 netlist on *runs* cold
+    jobs (both legs interpreted)."""
+    base = compile_function(kernel, opt_level=0)
+    return differential(
+        InterpretedLeg(base),
+        [InterpretedLeg(compile_function(kernel, opt_level=opt_level))],
+        cold_chunks(random_jobs(base.spec, seed, runs, input_factory)))
 
 
 # -- fixed kernels ---------------------------------------------------------
@@ -64,28 +76,25 @@ SERVICE_KERNEL_FNS = [switch_kernel, icmp_echo_kernel, dns_kernel,
 class TestServiceKernelEquivalence:
     def test_loop_kernels_equivalent_at_o2(self):
         for kernel in (gcd, sum_buf):
-            report = differential_check(kernel, opt_level=2, runs=8,
-                                        seed=SEED)
+            report = opt_vs_o0(kernel, opt_level=2, runs=8, seed=SEED)
             assert report.ok, report
 
     def test_service_kernels_equivalent_at_o2(self):
         for kernel in SERVICE_KERNEL_FNS:
-            report = differential_check(kernel, opt_level=2, runs=6,
-                                        seed=SEED)
+            report = opt_vs_o0(kernel, opt_level=2, runs=6, seed=SEED)
             assert report.ok, report
 
     def test_service_kernels_equivalent_at_o1(self):
         for kernel in SERVICE_KERNEL_FNS:
-            report = differential_check(kernel, opt_level=1, runs=4,
-                                        seed=SEED)
+            report = opt_vs_o0(kernel, opt_level=1, runs=4, seed=SEED)
             assert report.ok, report
             assert report.cycle_reduction == 0.0   # -O1 is cycle-neutral
 
     def test_memcached_crafted_requests_equivalent(self):
         """Valid binary requests (not just noise) through both designs."""
-        report = differential_check(memcached_kernel, opt_level=2,
-                                    runs=12, seed=SEED,
-                                    input_factory=memcached_request_inputs)
+        report = opt_vs_o0(memcached_kernel, opt_level=2, runs=12,
+                           seed=SEED,
+                           input_factory=memcached_request_inputs)
         assert report.ok, report
         assert report.cycle_reduction > 0.1
 
@@ -181,8 +190,7 @@ def test_random_kernels_equivalent_at_o2(tmp_path):
     spec.loader.exec_module(module)
     for index in range(count):
         kernel = getattr(module, "k%d" % index)
-        report = differential_check(kernel, opt_level=2, runs=5,
-                                    seed=SEED)
+        report = opt_vs_o0(kernel, opt_level=2, runs=5, seed=SEED)
         assert report.ok, "kernel %d: %r\n%s" % (index, report, source)
         text = compile_function(kernel, opt_level=2).verilog()
         assert "endmodule" in text
